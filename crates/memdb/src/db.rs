@@ -936,7 +936,19 @@ impl Database {
         if self.ctx.cancel.is_cancelled() {
             return Err(DbError::Cancelled);
         }
-        catch_internal(|| self.dispatch_inner(req))
+        // A read-only statement's index-arena scratch (join hash tables,
+        // partition chunks) is dead once it ends: its host bytes go back,
+        // its simulated addresses stay taken.
+        let read_only = !matches!(
+            req,
+            ExecRequest::Scalar(Query::UpdateAdd { .. } | Query::InsertRow { .. })
+        );
+        let scratch = read_only.then(|| self.ctx.index.scratch_mark());
+        let out = catch_internal(|| self.dispatch_inner(req));
+        if let Some(mark) = scratch {
+            self.ctx.index.release_scratch(mark);
+        }
+        out
     }
 
     /// Cancellation + budget checkpoint between morsels (not before the
@@ -1513,17 +1525,20 @@ impl Database {
         })
     }
 
-    /// All rows of table `ti`, read raw (uninstrumented) in heap order.
-    /// Used by [`Database::shard`] to re-partition loaded data and by the
-    /// SQL planner ([`crate::sql`]) to build its pilot databases.
-    pub(crate) fn table_rows(&self, ti: usize) -> DbResult<Vec<Vec<i32>>> {
+    /// The first `limit` rows of table `ti`, read raw (uninstrumented) in
+    /// heap order. Used by [`Database::shard`] to re-partition loaded data
+    /// and by the SQL planner ([`crate::sql`]) to copy its pilot prefixes.
+    pub(crate) fn table_rows(&self, ti: usize, limit: usize) -> DbResult<Vec<Vec<i32>>> {
         let t = &self.tables[ti];
         let arity = t.schema.arity();
-        let mut rows = Vec::new();
+        let mut rows = Vec::with_capacity((t.heap.n_records as usize).min(limit));
         for page_no in 0..t.heap.n_pages() {
             let page = t.heap.page_addr(page_no)?;
             let nrecs = self.ctx.heap.read_i32(page + HDR_NRECS) as u32;
             for slot in 0..nrecs {
+                if rows.len() == limit {
+                    return Ok(rows);
+                }
                 let mut row = Vec::with_capacity(arity);
                 for c in 0..arity {
                     row.push(self.ctx.heap.read_i32(t.heap.field_addr_at(page, slot, c)));
@@ -1578,7 +1593,7 @@ impl Database {
             .collect();
         for (ti, t) in self.tables.iter().enumerate() {
             let mut routed: Vec<Vec<Vec<i32>>> = vec![Vec::new(); n];
-            for row in self.table_rows(ti)? {
+            for row in self.table_rows(ti, usize::MAX)? {
                 routed[shard_of(row[t.shard_col], n)].push(row);
             }
             for (s, part) in shards.iter_mut().zip(routed) {

@@ -116,7 +116,8 @@ impl ParallelConfig {
 ///
 /// Tasks (job indices) are dealt round-robin into per-worker deques, in an
 /// order shuffled by `seed`; a worker pops its own deque from the front and
-/// steals from the back of a seeded rotation of victims when empty. With
+/// steals from the back of a seeded rotation of victims when empty. The
+/// calling thread is worker 0, so a call spawns `workers - 1` threads. With
 /// `workers <= 1` the jobs run inline on the calling thread in job order —
 /// the sequential baseline the equivalence suite compares against.
 ///
@@ -163,46 +164,45 @@ where
     // post-processing is in job order no matter who computed what.
     let slots: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let op = &op;
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let results = &results;
-            scope.spawn(move || {
-                let mut rng = splitmix64(seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                loop {
-                    // Own deque first (front), then steal from the back of
-                    // a seeded rotation of victims. No task is ever
-                    // re-queued, so finding every deque empty means all
-                    // tasks are claimed and this worker is done.
-                    let mut task = deques[w].lock().expect("deque lock poisoned").pop_front();
-                    if task.is_none() {
-                        rng = splitmix64(rng);
-                        let start = (rng % workers as u64) as usize;
-                        for k in 0..workers {
-                            let v = (start + k) % workers;
-                            if v == w {
-                                continue;
-                            }
-                            task = deques[v].lock().expect("deque lock poisoned").pop_back();
-                            if task.is_some() {
-                                break;
-                            }
-                        }
+    let work = |w: usize| {
+        let mut rng = splitmix64(seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        loop {
+            // Own deque first (front), then steal from the back of a
+            // seeded rotation of victims. No task is ever re-queued, so
+            // finding every deque empty means all tasks are claimed and
+            // this worker is done.
+            let mut task = deques[w].lock().expect("deque lock poisoned").pop_front();
+            if task.is_none() {
+                rng = splitmix64(rng);
+                let start = (rng % workers as u64) as usize;
+                for k in 0..workers {
+                    let v = (start + k) % workers;
+                    if v == w {
+                        continue;
                     }
-                    let Some(job_no) = task else { break };
-                    let job = slots[job_no]
-                        .lock()
-                        .expect("slot lock poisoned")
-                        .take()
-                        .expect("job task claimed twice");
-                    let out = op(job_no, job);
-                    *results[job_no].lock().expect("result lock poisoned") = Some(out);
+                    task = deques[v].lock().expect("deque lock poisoned").pop_back();
+                    if task.is_some() {
+                        break;
+                    }
                 }
-            });
+            }
+            let Some(job_no) = task else { break };
+            let job = slots[job_no]
+                .lock()
+                .expect("slot lock poisoned")
+                .take()
+                .expect("job task claimed twice");
+            let out = op(job_no, job);
+            *results[job_no].lock().expect("result lock poisoned") = Some(out);
         }
+    };
+    std::thread::scope(|scope| {
+        let work = &work;
+        for w in 1..workers {
+            scope.spawn(move || work(w));
+        }
+        work(0);
     });
 
     results

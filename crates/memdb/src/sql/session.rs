@@ -39,9 +39,11 @@ enum Backend {
 ///
 /// The session owns the database, a plan cache (keyed by statement text),
 /// and the report of the last planning decision. Aggregate queries are
-/// physically planned on first sight — every knob candidate is costed on a
-/// sampled pilot run of the cycle simulator (see [`crate::sql::plan`]) —
-/// and the winning configuration is cached and re-applied on repeats.
+/// physically planned on first sight — every knob candidate is costed on
+/// its own sampled pilot of the cycle simulator, the pilots running in
+/// parallel on the host's cores (see [`crate::sql::plan`]); the estimates
+/// do not depend on the candidate order or the core count — and the
+/// winning configuration is cached and re-applied on repeats.
 /// Point reads and mutations have no physical choice and bypass planning.
 pub struct Session {
     backend: Backend,
@@ -316,5 +318,35 @@ impl Session {
                 "grouped statement has no scalar Query form".into(),
             )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::heap::PageLayout;
+    use crate::profiles::SystemId;
+    use crate::testutil::{build_db_with_indexes, rows_for};
+
+    #[test]
+    fn repeated_joins_keep_index_arena_host_bytes_bounded() {
+        let (r, s) = (rows_for(600, 3), rows_for(200, 5));
+        let db = build_db_with_indexes(SystemId::C, PageLayout::Nsm, &[("R", &r), ("S", &s)], &[]);
+        let mut sess = Session::open(db);
+        let sql = "SELECT SUM(R.a3) FROM R JOIN S ON R.a2 = S.a1";
+        let first = sess.sql(sql).unwrap();
+        let index = |sess: &Session| {
+            let a = &sess.db().unwrap().ctx.index;
+            (a.used(), a.host_bytes())
+        };
+        let (used0, host0) = index(&sess);
+        for _ in 0..200 {
+            assert_eq!(sess.sql(sql).unwrap(), first);
+        }
+        let (used, host) = index(&sess);
+        // Every join still takes fresh simulated addresses for its hash
+        // table; none of them keeps its host bytes.
+        assert!(used >= used0 + 200 * 200 * 8, "used {used0} -> {used}");
+        assert_eq!(host, host0);
     }
 }
